@@ -45,9 +45,21 @@ client::~client() {
 void client::write_all(const std::vector<std::uint8_t>& bytes) {
     std::size_t off = 0;
     while (off < bytes.size()) {
-        const ssize_t n = ::write(fd_, bytes.data() + off, bytes.size() - off);
+        // MSG_NOSIGNAL: a daemon that hung up makes this fail with EPIPE
+        // instead of raising SIGPIPE, which would kill the calling process.
+        const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR) continue;
+            if (errno == EPIPE || errno == ECONNRESET) {
+                // The daemon explains a hang-up (an oversized frame, say)
+                // in an error frame sent just before it: report that.
+                while (true) {
+                    const frame f = read_frame();  // throws client_error at EOF
+                    if (f.opcode != op::error) continue;
+                    wire_reader r(f.payload);
+                    throw client_error("sciductiond error: " + r.str());
+                }
+            }
             throw client_error("sciduction_client: write failed");
         }
         off += static_cast<std::size_t>(n);

@@ -2,17 +2,22 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <deque>
 #include <fstream>
 #include <optional>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "substrate/query_cache.hpp"
 
@@ -30,6 +35,13 @@ std::uint64_t ms_between(clock::time_point from, clock::time_point to) {
 bool set_nonblocking(int fd) {
     const int flags = fcntl(fd, F_GETFL, 0);
     return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
+/// Bumps the wake-up eventfd (async-signal-safe). A failed write can only
+/// mean a saturated counter, which already reads as "wake up".
+void notify(int wake_fd) {
+    const std::uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n = ::write(wake_fd, &one, sizeof(one));
 }
 
 /// Best-effort read of the leading request id of an undecoded submit
@@ -119,10 +131,25 @@ server::server(server_config cfg)
     // Dispatch latency inside the shared pool feeds the lane-wait
     // histogram (the observer contract: one atomic bump, non-blocking).
     pool_->set_wait_observer([&h = h_lane_wait_us_](std::uint64_t us) { h.observe(us); });
+    // Last, so no later failure can leak the descriptor.
+    wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    // lint: throw-ok(daemon construction, before any request is being served)
+    if (wake_fd_ < 0) throw std::runtime_error("sciductiond: eventfd() failed");
 }
 
 server::~server() {
     if (listen_fd_ >= 0) ::close(listen_fd_);
+    // Pool tasks write the wake fd as they complete. The tenant engines
+    // hold the pool's other references: drop them and join the pool before
+    // the descriptor closes, so no late write can reach a reused fd.
+    connections_.clear();
+    pool_.reset();
+    ::close(wake_fd_);
+}
+
+void server::request_stop() {
+    stop_requested_.store(true, std::memory_order_release);
+    notify(wake_fd_);
 }
 
 std::uint64_t server::run() {
@@ -144,62 +171,60 @@ std::uint64_t server::run() {
     serving_.store(true, std::memory_order_release);
 
     while (true) {
-        if (stop_requested_.load(std::memory_order_relaxed) && !draining_)
+        if (stop_requested_.load(std::memory_order_acquire) && !draining_)
             begin_drain(drain_policy::finish);
+        if (draining_) {
+            bool quiescent = true;
+            for (const auto& conn : connections_)
+                if (conn->load() != 0) quiescent = false;
+            if (quiescent) break;
+        }
 
         std::vector<pollfd> fds;
-        if (!draining_) fds.push_back({listen_fd_, POLLIN, 0});
+        fds.push_back({wake_fd_, POLLIN, 0});
+        const bool listening = !draining_;
+        if (listening) fds.push_back({listen_fd_, POLLIN, 0});
         const std::size_t conn_base = fds.size();
         for (const auto& conn : connections_) {
             short events = 0;
             if (!conn->closing) events |= POLLIN;
             if (!conn->outbuf.empty()) events |= POLLOUT;
-            fds.push_back({conn->fd, events, 0});
+            // A closing connection with nothing to send only waits for its
+            // solves, which the wake fd reports; left out of the set, a
+            // hung-up peer's POLLHUP cannot spin the loop.
+            fds.push_back({events != 0 ? conn->fd : -1, events, 0});
         }
-        bool busy = false;
-        for (const auto& conn : connections_)
-            if (conn->load() != 0) busy = true;
-        // Completion is observed by polling ready(); tick fast only while
-        // work is in flight.
-        const int timeout_ms = busy ? 5 : 100;
-        const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
+        const int rc = ::poll(fds.data(), fds.size(), poll_timeout_ms());
         if (rc < 0 && errno != EINTR) break;
+        // Reset the wake-up before reaping: a completion that lands after
+        // this read leaves the fd readable for the next poll.
+        if ((fds[0].revents & POLLIN) != 0) {
+            std::uint64_t wakes = 0;
+            [[maybe_unused]] const ssize_t n = ::read(wake_fd_, &wakes, sizeof(wakes));
+        }
 
         // Only the connections that existed when fds was built were polled;
-        // accept_clients() may append more (they are served next tick).
+        // accept_clients() may append more (they are polled next round).
         const std::size_t polled = connections_.size();
-        if (!draining_ && (fds[0].revents & POLLIN) != 0) accept_clients();
+        if (listening && (fds[1].revents & POLLIN) != 0) accept_clients();
         for (std::size_t i = 0; i < polled; ++i) {
-            const short revents = fds[conn_base + i].revents;
             connection& conn = *connections_[i];
-            if ((revents & POLLOUT) != 0 && !conn.outbuf.empty()) {
-                const ssize_t n = ::write(conn.fd, conn.outbuf.data(), conn.outbuf.size());
-                if (n > 0) {
-                    conn.outbuf.erase(conn.outbuf.begin(), conn.outbuf.begin() + n);
-                } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-                    conn.closing = true;
-                    conn.outbuf.clear();
-                }
-            }
-            if ((revents & (POLLIN | POLLERR | POLLHUP)) != 0 && !conn.closing)
+            if ((fds[conn_base + i].revents & (POLLIN | POLLERR | POLLHUP)) != 0 && !conn.closing)
                 handle_readable(conn);
         }
         for (auto& conn : connections_) {
             reap(*conn);
             schedule(*conn);
+            // Answers ready at dispatch (cache hits, malformed requests)
+            // complete no pool task, so nothing would wake the loop for them.
+            reap(*conn);
+            flush(*conn);
         }
         for (std::size_t i = connections_.size(); i-- > 0;) {
             connection& conn = *connections_[i];
             // A closing connection is dropped only once its last frames
             // (the error/result that explains the close) have flushed.
             if (conn.closing && conn.inflight.empty() && conn.outbuf.empty()) drop_connection(i);
-        }
-
-        if (draining_) {
-            bool quiescent = true;
-            for (const auto& conn : connections_)
-                if (conn->load() != 0) quiescent = false;
-            if (quiescent) break;
         }
     }
 
@@ -210,15 +235,10 @@ std::uint64_t server::run() {
     const clock::time_point flush_deadline = clock::now() + std::chrono::seconds(2);
     for (auto& conn : connections_) {
         while (!conn->outbuf.empty() && !conn->closing && clock::now() < flush_deadline) {
-            const ssize_t n = ::write(conn->fd, conn->outbuf.data(), conn->outbuf.size());
-            if (n > 0) {
-                conn->outbuf.erase(conn->outbuf.begin(), conn->outbuf.begin() + n);
-            } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-                pollfd pfd{conn->fd, POLLOUT, 0};
-                ::poll(&pfd, 1, 50);
-            } else {
-                break;
-            }
+            flush(*conn);
+            if (conn->outbuf.empty()) break;
+            pollfd pfd{conn->fd, POLLOUT, 0};
+            ::poll(&pfd, 1, 50);
         }
     }
 
@@ -259,12 +279,7 @@ void server::handle_readable(connection& conn) {
         // EOF or hard error: the client is gone. Cancel its in-flight
         // solves (reclaiming pool time) and reclaim its queue slots; the
         // session context lingers until the handles resolve.
-        conn.closing = true;
-        for (auto& [id, req] : conn.inflight) {
-            req.handle.cancel();
-            c_disconnect_cancels_.add();
-        }
-        conn.pending.clear();
+        close_connection(conn, /*disconnected=*/true);
         return;
     }
     // Drain complete frames from the input buffer.
@@ -277,9 +292,7 @@ void server::handle_readable(connection& conn) {
             wire_writer w;
             w.str(len == 0 ? "empty frame" : "frame exceeds max_frame_bytes");
             conn.send({op::error, w.take()});
-            conn.closing = true;
-            for (auto& [id, req] : conn.inflight) req.handle.cancel();
-            conn.pending.clear();
+            close_connection(conn, /*disconnected=*/false);
             return;
         }
         if (conn.inbuf.size() < 4u + len) return;
@@ -288,9 +301,7 @@ void server::handle_readable(connection& conn) {
         f.payload.assign(conn.inbuf.begin() + 5, conn.inbuf.begin() + 4 + len);
         conn.inbuf.erase(conn.inbuf.begin(), conn.inbuf.begin() + 4 + len);
         if (!handle_frame(conn, f)) {
-            conn.closing = true;
-            for (auto& [id, req] : conn.inflight) req.handle.cancel();
-            conn.pending.clear();
+            close_connection(conn, /*disconnected=*/false);
             return;
         }
     }
@@ -330,8 +341,10 @@ bool server::handle_frame(connection& conn, const frame& f) {
                 ecfg.trace = trace_;
                 ecfg.trace_track_name = "tenant:" + conn.tenant;
                 conn.engine = std::make_unique<substrate::smt_engine>(*conn.tm, ecfg);
+                // Each pool-run solve wakes the loop once its result is in.
                 conn.session = conn.engine->open_session(
-                    conn.tenant, weight == 0 ? cfg_.default_weight : weight);
+                    conn.tenant, weight == 0 ? cfg_.default_weight : weight,
+                    [wake_fd = wake_fd_] { notify(wake_fd); });
                 conn.greeted = true;
                 c_sessions_.add();
                 wire_writer w;
@@ -508,10 +521,13 @@ void server::schedule(connection& conn) {
     const clock::time_point now = clock::now();
     obs::span decode_span(trace_.get(), conn.trace_track, "decode");
     decode_span.arg("batch", batch.size());
-    for (auto& pend : batch) {
-        submit_message msg;
+    // The whole batch is decoded before its first solve is dispatched: a
+    // dispatched solve reads the manager that decoding writes.
+    std::vector<std::pair<const connection::pending_submit*, submit_message>> decoded;
+    decoded.reserve(batch.size());
+    for (const auto& pend : batch) {
         try {
-            msg = decode_submit(*conn.tm, pend.payload);
+            decoded.emplace_back(&pend, decode_submit(*conn.tm, pend.payload));
         } catch (const wire_error& e) {
             c_protocol_errors_.add();
             wire_writer w;
@@ -519,17 +535,19 @@ void server::schedule(connection& conn) {
             w.u8(static_cast<std::uint8_t>(reject_reason::protocol));
             w.str(std::string("submit failed to decode: ") + e.what());
             conn.send({op::reject, w.take()});
-            continue;
         }
+    }
+    decode_span.end();
+    for (auto& [pend, msg] : decoded) {
         connection::inflight_request req;
         // Stamp admission and dispatch on the collector's timebase before
         // submitting, so the reaper can emit queue_wait/solve/request
         // spans that exactly partition the request's wall time.
         const std::uint64_t dispatched_us = trace_->now_us();
         const std::uint64_t wait_us = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(now - pend.enqueued).count());
+            std::chrono::duration_cast<std::chrono::microseconds>(now - pend->enqueued).count());
         req.handle = conn.session->submit(std::move(msg.request));
-        req.enqueued = pend.enqueued;
+        req.enqueued = pend->enqueued;
         req.dispatched = now;
         req.enqueued_us = dispatched_us > wait_us ? dispatched_us - wait_us : 0;
         req.dispatched_us = dispatched_us;
@@ -616,6 +634,40 @@ void accumulate(substrate::session_stats& into, const substrate::session_stats& 
 }
 
 }  // namespace
+
+void server::flush(connection& conn) {
+    if (conn.outbuf.empty()) return;
+    // MSG_NOSIGNAL: a vanished peer fails the write with EPIPE instead of
+    // raising SIGPIPE, which an embedded server does not ignore.
+    const ssize_t n = ::send(conn.fd, conn.outbuf.data(), conn.outbuf.size(), MSG_NOSIGNAL);
+    if (n > 0) {
+        conn.outbuf.erase(conn.outbuf.begin(), conn.outbuf.begin() + n);
+    } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+        // The peer is gone (EPIPE/ECONNRESET): nothing more can be sent.
+        if (!conn.closing) close_connection(conn, /*disconnected=*/true);
+        conn.outbuf.clear();
+    }
+}
+
+void server::close_connection(connection& conn, bool disconnected) {
+    conn.closing = true;
+    for (auto& [id, req] : conn.inflight) {
+        req.handle.cancel();
+        if (disconnected) c_disconnect_cancels_.add();
+    }
+    conn.pending.clear();
+}
+
+int server::poll_timeout_ms() const {
+    std::optional<clock::time_point> nearest;
+    for (const auto& conn : connections_)
+        for (const auto& [id, req] : conn->inflight)
+            if (req.deadline && !req.deadline_cancelled && (!nearest || *req.deadline < *nearest))
+                nearest = req.deadline;
+    if (!nearest) return -1;
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(*nearest - clock::now());
+    return static_cast<int>(std::clamp<std::int64_t>(left.count(), 0, INT_MAX));
+}
 
 void server::drop_connection(std::size_t i) {
     connection& conn = *connections_[i];

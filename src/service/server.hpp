@@ -15,7 +15,16 @@
 /// `finish_seq`).
 ///
 /// Threading: one event-loop thread owns all sockets, all term managers
-/// and the scheduler; solver work runs on the shared pool. Term *creation*
+/// and the scheduler; solver work runs on the shared pool. The loop has no
+/// fixed period: it blocks in poll() on the sockets and on one wake-up
+/// eventfd, with a timeout only while some in-flight request has a time
+/// budget (the nearest deadline bounds it, and the reaper cancels what
+/// expired). The eventfd is written by every pool-run solve of a tenant
+/// engine once its result is ready (the engine_session completion
+/// callback) and by request_stop(); answers that are ready at dispatch
+/// (cache hits, malformed submits) are reaped right after scheduling and
+/// wake nobody. The eventfd is closed only after the pool has joined, so a
+/// late completion never writes to a reused descriptor. Term *creation*
 /// is the only term_manager write, and decoding a submit creates terms —
 /// so the loop applies a per-tenant decode barrier: raw submit payloads
 /// queue undecoded, and are batch-decoded only when that tenant has zero
@@ -61,8 +70,8 @@ struct server_config {
 };
 
 /// The daemon. Construct, then run() on the serving thread; request_stop()
-/// is async-signal-safe-adjacent (an atomic store) and may be called from
-/// a signal handler or another thread.
+/// is async-signal-safe (an atomic store and an eventfd write) and may be
+/// called from a signal handler or another thread.
 class server {
 public:
     explicit server(server_config cfg);
@@ -76,9 +85,9 @@ public:
     /// Throws std::runtime_error if the socket cannot be bound.
     std::uint64_t run();
 
-    /// Asks the serving loop to drain (policy `finish`) and exit. Safe
-    /// from signal handlers.
-    void request_stop() { stop_requested_.store(true, std::memory_order_relaxed); }
+    /// Asks the serving loop to drain (policy `finish`) and exit, waking
+    /// it if it is idle. Safe from signal handlers.
+    void request_stop();
 
     /// True once run() has bound the socket and entered the loop (tests
     /// use this to sequence client connects without sleeping).
@@ -93,7 +102,15 @@ private:
     void handle_submit(connection& conn, const std::vector<std::uint8_t>& payload);
     void schedule(connection& conn);  ///< decode barrier + dispatch
     void reap(connection& conn);      ///< complete ready handles -> result frames
+    /// Writes what the socket takes of the output buffer now; a dead peer
+    /// closes the connection (counted as a disconnect).
+    void flush(connection& conn);
+    /// Stops reading from the connection: cancels its in-flight solves and
+    /// unqueues its pending submits. The context lingers until they resolve.
+    void close_connection(connection& conn, bool disconnected);
     void drop_connection(std::size_t i);
+    /// poll() timeout: the nearest unexpired request deadline, or -1.
+    [[nodiscard]] int poll_timeout_ms() const;
     void begin_drain(drain_policy policy);
     [[nodiscard]] std::map<std::string, std::uint64_t> snapshot_stats() const;
 
@@ -120,6 +137,9 @@ private:
     obs::histogram& h_lane_wait_us_;
     std::shared_ptr<substrate::thread_pool> pool_;
     std::shared_ptr<substrate::query_cache> cache_;
+    /// Completion wake-up (eventfd): written by pool tasks and
+    /// request_stop(), drained by the loop before it reaps.
+    int wake_fd_ = -1;
     int listen_fd_ = -1;
     std::vector<std::unique_ptr<connection>> connections_;
     /// Per-tenant accounting of connections that already closed, so a

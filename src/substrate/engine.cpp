@@ -229,12 +229,13 @@ thread_pool& smt_engine::pool() {
     return *pool_;
 }
 
-std::shared_ptr<engine_session> smt_engine::open_session(std::string name, unsigned weight) {
+std::shared_ptr<engine_session> smt_engine::open_session(std::string name, unsigned weight,
+                                                         std::function<void()> on_complete) {
     thread_pool::lane_id lane = pool().create_lane(weight);
     // make_shared needs a public constructor; the session ctor is private
     // to keep lane creation behind this method.
-    return std::shared_ptr<engine_session>(
-        new engine_session(*this, std::move(name), std::max(1u, weight), lane));
+    return std::shared_ptr<engine_session>(new engine_session(
+        *this, std::move(name), std::max(1u, weight), lane, std::move(on_complete)));
 }
 
 void smt_engine::release_session_lane(thread_pool::lane_id lane) {
@@ -604,8 +605,11 @@ query_handle smt_engine::do_submit(solve_request req, bool inline_exec,
     // Queue wait is recorded as its own span — dispatch latency under load
     // is exactly the gap the fair-lane scheduler exists to bound.
     const std::uint64_t enqueued_us = tr != nullptr ? tr->now_us() : 0;
+    auto promise = std::make_shared<std::promise<backend_result>>();
+    auto future = promise->get_future().share();
+    std::function<void()> on_complete = session ? session->on_complete_ : nullptr;
     auto task = [this, q = std::move(q), prep, state, requested = std::move(req.strategy),
-                 session, enqueued_us]() -> backend_result {
+                 session, enqueued_us, promise, on_complete]() mutable {
         if (obs::trace_collector* trc = cfg_.trace.get(); trc != nullptr) {
             const std::uint64_t now = trc->now_us();
             trc->record(obs::trace_event{"queue_wait",
@@ -614,10 +618,20 @@ query_handle smt_engine::do_submit(solve_request req, bool inline_exec,
                                          now > enqueued_us ? now - enqueued_us : 0,
                                          {{"query", state->query_id}}});
         }
-        return run_and_complete(q, requested, *prep, *state, session.get());
+        backend_result result = run_and_complete(q, requested, *prep, *state, session.get());
+        // Once the promise is set the session's owner may destroy the
+        // session and this engine, so the reference goes first and the
+        // callback used is this closure's own copy. The callback runs only
+        // after set_value: run_and_complete's `finished` flag precedes the
+        // value, and a wake-up sent before it would find ready() false.
+        session.reset();
+        promise->set_value(std::move(result));
+        if (on_complete) on_complete();
     };
-    auto future = session ? workers->submit_in(session->lane_, std::move(task)).share()
-                          : workers->submit(std::move(task)).share();
+    if (session)
+        workers->post_in(session->lane_, std::move(task));
+    else
+        workers->post(std::move(task));
     // The map entry is published under the same lock that the completion
     // lambda needs to erase it, so a fast worker cannot race past us.
     inflight_.emplace(key, inflight_entry{state, future});

@@ -33,6 +33,7 @@
 /// did before the substrate existed.
 #pragma once
 
+#include <functional>
 #include <future>
 #include <memory>
 
@@ -264,10 +265,9 @@ private:
           time_budget_ms_(time_budget_ms),
           coalesced_(coalesced) {}
 
-    // The future lives in the handle, NOT in the shared query_state: the
-    // solve task's closure owns a reference to the state, and the future's
-    // shared state owns the closure — storing the future inside
-    // query_state would close a shared_ptr cycle and leak every request.
+    // The future lives in the handle, not in the shared query_state: the
+    // solve task holds the state and the promise behind the future, and
+    // only handles (and the coalescing map) read the result channel.
     std::shared_ptr<detail::query_state> state_;
     std::shared_future<backend_result> future_;
     std::uint64_t time_budget_ms_ = 0;  // per-handle: survives coalescing
@@ -304,7 +304,8 @@ class smt_engine;
 /// cannot starve another tenant's tiny queries) and are accounted in the
 /// session's own session_stats slice. Sessions are handed out as
 /// shared_ptr and must not outlive their engine; the lane is released when
-/// the last reference drops.
+/// the last reference drops. A session may carry a completion callback
+/// (see open_session) that tells an event loop when a handle turned ready.
 class engine_session : public std::enable_shared_from_this<engine_session> {
 public:
     ~engine_session();
@@ -325,8 +326,12 @@ public:
 private:
     friend class smt_engine;
     engine_session(smt_engine& engine, std::string name, unsigned weight,
-                   thread_pool::lane_id lane)
-        : engine_(engine), name_(std::move(name)), weight_(weight), lane_(lane) {}
+                   thread_pool::lane_id lane, std::function<void()> on_complete)
+        : engine_(engine),
+          name_(std::move(name)),
+          weight_(weight),
+          lane_(lane),
+          on_complete_(std::move(on_complete)) {}
     void note_query(bool cache_hit, bool coalesced);
     void note_completed(const backend_result& result);
 
@@ -334,6 +339,8 @@ private:
     std::string name_;
     unsigned weight_;
     thread_pool::lane_id lane_;
+    /// Fixed at open_session; each dispatched task runs its own copy.
+    const std::function<void()> on_complete_;
     mutable sd::mutex mutex_;
     session_stats stats_ SD_GUARDED_BY(mutex_);
 };
@@ -386,7 +393,19 @@ public:
     /// slice. The session must not outlive the engine; its lane is
     /// released when the last shared reference drops. Forces the pool into
     /// existence (serving implies workers).
-    std::shared_ptr<engine_session> open_session(std::string name, unsigned weight = 1);
+    ///
+    /// `on_complete`, if set, runs on the pool worker once per solve that a
+    /// session submit() dispatched to the pool, cancelled ones included,
+    /// right after the result became readable: the handle's ready() is
+    /// already true when it runs. It never runs for answers that are ready
+    /// at submit (cache hits, malformed requests), for solve(), or for a
+    /// submit that coalesced onto another solve (that solve's own
+    /// completion covers it). It must be cheap and must not block, and it
+    /// must not touch the session or the engine: the owner may destroy
+    /// both as soon as the handle is ready, so each task runs its own copy.
+    /// sciductiond passes a write to its wake-up eventfd.
+    std::shared_ptr<engine_session> open_session(std::string name, unsigned weight = 1,
+                                                 std::function<void()> on_complete = {});
 
     /// Evaluates t under a model returned by a solve, defaulting unblasted
     /// variables to zero.

@@ -6,11 +6,12 @@
 /// (basis-path feasibility, candidate checks, invariant refinements); this
 /// pool is the single place concurrency lives, so every higher layer stays
 /// free of raw thread management. Tasks are type-erased thunks; results
-/// flow back through the futures returned by submit() or through the
-/// caller's own slots in parallel_for. `smt_engine` holds one pool per
-/// workload (created lazily, shared by every race/batch/shard/async
-/// request), so thread spawn cost is paid once; `parallel_map` spins up a
-/// transient pool for one-shot fan-outs.
+/// flow back through the futures returned by submit(), through a promise
+/// a post()ed thunk fulfils, or through the caller's own slots in
+/// parallel_for. `smt_engine` holds one pool per workload (created lazily,
+/// shared by every race/batch/shard/async request), so thread spawn cost
+/// is paid once; `parallel_map` spins up a transient pool for one-shot
+/// fan-outs.
 ///
 /// Dispatch lanes (`create_lane`) are the fairness hook the serving layer
 /// needs: each lane holds its own FIFO queue and workers drain the lanes in
@@ -114,6 +115,13 @@ public:
         enqueue(lane, [task] { (*task)(); });
         return fut;
     }
+
+    /// Enqueues a fire-and-forget thunk into an explicit lane (same lane
+    /// rules as submit_in): no future is made, so the thunk publishes its
+    /// own result, e.g. through a std::promise it owns.
+    void post_in(lane_id lane, std::function<void()> thunk) { enqueue(lane, std::move(thunk)); }
+    /// post_in() on the lane submit() would pick.
+    void post(std::function<void()> thunk) { enqueue(inherited_lane(), std::move(thunk)); }
 
     /// Runs fn(i) for every i in [0, n), blocking until all complete. The
     /// calling thread participates, so parallel_for on a 1-worker pool (or

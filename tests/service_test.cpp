@@ -1,10 +1,12 @@
 // sciductiond end-to-end: multi-tenant fairness under a greedy job,
 // cancel and disconnect cleanup, protocol edge cases (truncated /
-// oversized / unknown frames), bounded admission, and graceful-drain
-// cache persistence. The server runs in-process on a background thread;
-// clients talk to it over a real unix-domain socket.
+// oversized / unknown frames), bounded admission, graceful-drain cache
+// persistence, and the wake-ups of an idle event loop. The server runs
+// in-process on a background thread; clients talk to it over a real
+// unix-domain socket.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -14,7 +16,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -270,9 +274,27 @@ struct raw_socket {
         if (!payload.empty() && !read_exact(payload.data(), payload.size())) return 0;
         return header[4];
     }
-    bool read_exact(std::uint8_t* dst, std::size_t n) const {
+    /// Reads one whole frame, waiting at most `limit` for each chunk of
+    /// it; nullopt on EOF or when the daemon stays silent that long.
+    std::optional<frame> read_frame_within(std::chrono::milliseconds limit) const {
+        const int timeout_ms = static_cast<int>(limit.count());
+        std::uint8_t header[5];
+        if (!read_exact(header, sizeof(header), timeout_ms)) return std::nullopt;
+        std::uint32_t len = 0;
+        for (int i = 0; i < 4; ++i) len |= static_cast<std::uint32_t>(header[i]) << (8 * i);
+        frame f;
+        f.opcode = static_cast<op>(header[4]);
+        f.payload.resize(len - 1);
+        if (!f.payload.empty() && !read_exact(f.payload.data(), f.payload.size(), timeout_ms))
+            return std::nullopt;
+        return f;
+    }
+    /// `timeout_ms` bounds the wait for each read (-1 = unbounded).
+    bool read_exact(std::uint8_t* dst, std::size_t n, int timeout_ms = -1) const {
         std::size_t off = 0;
         while (off < n) {
+            pollfd pfd{fd, POLLIN, 0};
+            if (::poll(&pfd, 1, timeout_ms) <= 0) return false;
             const ssize_t got = ::read(fd, dst + off, n - off);
             if (got <= 0) return false;
             off += static_cast<std::size_t>(got);
@@ -318,6 +340,25 @@ TEST(service_protocol, oversized_frame_draws_error_and_close) {
     EXPECT_EQ(raw.read_opcode(), 0u);  // daemon closed the connection
 }
 
+TEST(service_protocol, oversized_client_submit_is_a_client_error_not_sigpipe) {
+    daemon d({.socket_path = {}, .threads = 1});
+    smt::term_manager tm;
+    client cli(tm, d.config.socket_path, "big");
+    // A variable name past the frame bound: the daemon answers the frame
+    // header with an error and hangs up, most likely while the client is
+    // still writing. That must surface as client_error; a SIGPIPE would
+    // kill this test process instead.
+    smt::term x = tm.mk_bv_var(std::string(max_frame_bytes + 1, 'v'), 8);
+    substrate::solve_request req;
+    req.assertions = {tm.mk_ult(x, tm.mk_bv_const(8, 3))};
+    EXPECT_THROW((void)cli.submit(req), client_error);
+    smt::term_manager tm_after;
+    client after(tm_after, d.config.socket_path, "after");
+    const submit_outcome out = after.submit(tiny_request(tm_after, 3));
+    ASSERT_TRUE(out.accepted);
+    EXPECT_EQ(after.await(out.request_id).ans, substrate::answer::sat);
+}
+
 TEST(service_protocol, unknown_opcode_draws_error_and_close) {
     daemon d({.socket_path = {}, .threads = 1});
     raw_socket raw(d.config.socket_path);
@@ -347,6 +388,65 @@ TEST(service_protocol, garbage_submit_payload_is_rejected_not_fatal) {
     raw.send(pack_frame({op::submit, w.take()}));
     EXPECT_EQ(raw.read_opcode(), static_cast<std::uint8_t>(op::submit_ack));
     EXPECT_EQ(raw.read_opcode(), static_cast<std::uint8_t>(op::reject));
+}
+
+// ---- wake-ups of an idle event loop -----------------------------------------
+
+// The loop blocks with no timeout while nothing has a deadline. Each wait
+// below is bounded, so a missed wake-up fails the test instead of hanging it.
+constexpr auto wake_bound = 5s;
+
+TEST(service_wakeup, answers_ready_at_dispatch_reach_the_client) {
+    daemon d({.socket_path = {}, .threads = 2});
+    raw_socket raw(d.config.socket_path);
+    ASSERT_GE(raw.fd, 0);
+    raw.send(hello_frame());
+    ASSERT_EQ(raw.read_opcode(), static_cast<std::uint8_t>(op::hello_ok));
+    smt::term_manager tm;
+    // The result frame for `id`, which follows its submit_ack.
+    auto submit_and_await = [&](std::uint64_t id, const substrate::solve_request& req) {
+        raw.send(pack_frame({op::submit, encode_submit(tm, id, req)}));
+        std::optional<frame> ack = raw.read_frame_within(wake_bound);
+        EXPECT_TRUE(ack && ack->opcode == op::submit_ack);
+        std::optional<frame> res = raw.read_frame_within(wake_bound);
+        EXPECT_TRUE(res && res->opcode == op::result) << "no result for request " << id;
+        return res && res->opcode == op::result ? std::optional(decode_result(res->payload))
+                                                : std::nullopt;
+    };
+    // Solved on the pool: its completion wakes the loop.
+    const auto first = submit_and_await(1, tiny_request(tm, 9));
+    ASSERT_TRUE(first);
+    EXPECT_FALSE(first->cache_hit);
+    // The repeat is a cache hit and the malformed request fails validation:
+    // both are ready when dispatched, so no pool task wakes the loop.
+    const auto repeat = submit_and_await(2, tiny_request(tm, 9));
+    ASSERT_TRUE(repeat);
+    EXPECT_TRUE(repeat->cache_hit);
+    EXPECT_EQ(repeat->ans, substrate::answer::sat);
+    substrate::solve_request bad = tiny_request(tm, 10);
+    bad.strategy.members = 0;
+    const auto malformed = submit_and_await(3, bad);
+    ASSERT_TRUE(malformed);
+    EXPECT_EQ(malformed->status, substrate::solve_status::malformed);
+}
+
+TEST(service_wakeup, request_stop_from_another_thread_ends_an_idle_run) {
+    const std::string socket_path = unique_path("stop_sock");
+    server srv({.socket_path = socket_path, .threads = 1});
+    std::promise<void> returned;
+    std::thread serving([&] {
+        srv.run();
+        returned.set_value();
+    });
+    while (!srv.serving()) std::this_thread::sleep_for(1ms);
+    std::this_thread::sleep_for(50ms);  // let the loop block in poll()
+    srv.request_stop();
+    const bool in_time = returned.get_future().wait_for(wake_bound) == std::future_status::ready;
+    // A loop that missed the wake-up still sees the stop once a connect
+    // makes the listening socket readable, so the thread can be joined.
+    if (!in_time) raw_socket nudge(socket_path);
+    serving.join();
+    EXPECT_TRUE(in_time) << "run() did not return after request_stop()";
 }
 
 // ---- graceful drain / persistence -------------------------------------------

@@ -485,6 +485,72 @@ TEST(engine_session, engines_share_one_external_pool) {
     EXPECT_EQ(pool->size(), 2u);
 }
 
+TEST(engine_session, completion_callback_fires_once_per_pool_solve_after_ready) {
+    // One worker, held by a gate task while each request is submitted, so
+    // the handle the callback inspects is stored before its solve can run.
+    auto pool = std::make_shared<thread_pool>(1);
+    smt::term_manager tm;
+    engine_config cfg;
+    cfg.shared_pool = pool;
+    smt_engine engine(tm, cfg);
+    std::atomic<int> fired{0};
+    std::atomic<int> ready_inside{0};
+    query_handle watched;
+    auto session = engine.open_session("tenant", 1, [&] {
+        fired.fetch_add(1);
+        if (watched.ready()) ready_inside.fetch_add(1);
+    });
+    // Every task queued before it has finished on the only worker.
+    auto settle = [&] { pool->submit([] {}).wait(); };
+    // Runs the next pool task only after `watched` is set.
+    auto gated_submit = [&](solve_request req, bool cancel_first) {
+        std::promise<void> started;
+        std::promise<void> gate;
+        auto held = pool->submit([&started, opened = gate.get_future()] {
+            started.set_value();
+            opened.wait();
+        });
+        started.get_future().wait();
+        watched = session->submit(std::move(req));
+        query_handle mine = watched;
+        if (cancel_first) mine.cancel();
+        gate.set_value();
+        held.wait();
+        backend_result r = mine.get();
+        settle();  // the callback runs after the value is set
+        return r;
+    };
+
+    smt::term x = tm.mk_bv_var("x", 8);
+    smt::term easy = tm.mk_ult(x, tm.mk_bv_const(8, 9));
+    EXPECT_TRUE(gated_submit({{easy}, {}, strategy::single()}, false).is_sat());
+    EXPECT_EQ(fired.load(), 1);
+    EXPECT_EQ(ready_inside.load(), 1);
+
+    smt::term a = tm.mk_bv_var("a", 12);
+    smt::term b = tm.mk_bv_var("b", 12);
+    smt::term hard = tm.mk_distinct(tm.mk_bvmul(a, tm.mk_bvadd(b, b)),
+                                    tm.mk_bvadd(tm.mk_bvmul(a, b), tm.mk_bvmul(a, b)));
+    const backend_result cancelled = gated_submit({{hard}, {}, strategy::single()}, true);
+    EXPECT_EQ(cancelled.status, solve_status::cancelled);
+    EXPECT_EQ(fired.load(), 2);
+    EXPECT_EQ(ready_inside.load(), 2);
+
+    // Answers ready at submit run no pool task, so no callback.
+    query_handle hit = session->submit({{easy}, {}, strategy::single()});
+    EXPECT_TRUE(hit.ready());
+    EXPECT_TRUE(hit.stats().cache_hit);
+    solve_request bad;
+    bad.assertions = {smt::term{}};
+    EXPECT_EQ(session->submit(std::move(bad)).get().status, solve_status::malformed);
+    // Nor does solve(), which runs on the calling thread.
+    EXPECT_TRUE(session->solve({{tm.mk_ult(x, tm.mk_bv_const(8, 7))}, {}, strategy::single()})
+                    .is_sat());
+    settle();
+    EXPECT_EQ(fired.load(), 2);
+    EXPECT_EQ(session->stats().completed, 5u);
+}
+
 // ---- oracle cache -----------------------------------------------------------
 
 TEST(oracle_cache, memoizes_vector_keys) {
