@@ -62,6 +62,10 @@ unsigned depth_for_threads(unsigned threads, unsigned max_depth) {
 strategy strategy::auto_select(const query_features& f) {
     using t = auto_select_thresholds;
     const unsigned threads = std::max(1u, f.threads);
+    // A portfolio only pays when its members race. On one thread they
+    // time-slice, and the losers' conflicts cost several times one default
+    // solve (docs/TUNING.md), so there the mid-size pick is single.
+    const strategy mid = threads > 1 ? portfolio() : single();
     // Prior outcomes for this structural key dominate the size features:
     // the classifier has *seen* how hard the query is, it need not guess.
     if (f.has_history) {
@@ -69,12 +73,7 @@ strategy strategy::auto_select(const query_features& f) {
             return shard_over_portfolio(depth_for_threads(threads, 3));
         if (f.prior_conflicts >= t::hard_conflicts)
             return shard(depth_for_threads(threads, 2));
-        if (f.prior_conflicts >= t::easy_conflicts) {
-            strategy s = portfolio();
-            if (threads <= 1) s.sequential = true;
-            return s;
-        }
-        return single();
+        return f.prior_conflicts >= t::easy_conflicts ? mid : single();
     }
     // Size features. Small instances: the solver startup dominates, any
     // concurrency strategy only adds overhead. Assumption-carrying queries
@@ -84,9 +83,7 @@ strategy strategy::auto_select(const query_features& f) {
     if (f.clauses < t::small_clauses && f.variables < t::small_variables) return single();
     if (f.assumptions > 0) return single();
     if (f.clauses >= t::large_clauses) return shard(depth_for_threads(threads, 2));
-    strategy s = portfolio();
-    if (threads <= 1) s.sequential = true;
-    return s;
+    return mid;
 }
 
 strategy strategy::overriding(strategy pick) const {

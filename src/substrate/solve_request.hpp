@@ -126,8 +126,10 @@ struct strategy {
     /// outcomes for the structural key dominate (a query proven cheap stays
     /// single; one that burned conflicts escalates to portfolio, shard, or
     /// shard_over_portfolio), otherwise size thresholds pick between a
-    /// single instance, a (sequential on one thread) portfolio, and a
-    /// shard tree with depth ~ log2(threads). Never returns `automatic`.
+    /// single instance, a racing portfolio, and a shard tree with depth
+    /// ~ log2(threads). With one thread the portfolio picks become single:
+    /// the classifier never chooses the budgeted sequential portfolio.
+    /// Never returns `automatic`.
     static strategy auto_select(const query_features& f);
 
     /// Applies this request's explicitly-set fields over a classifier

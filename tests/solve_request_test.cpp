@@ -4,11 +4,13 @@
 // CNF-level solve_cnf dispatcher.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
 
+#include "cnf_fuzz.hpp"
 #include "engine_test_util.hpp"
 #include "sat/pigeonhole.hpp"
 #include "substrate/engine.hpp"
@@ -90,7 +92,7 @@ TEST(auto_select, assumption_carrying_query_stays_single) {
     EXPECT_EQ(strategy::auto_select(f).kind, strategy_kind::single);
 }
 
-TEST(auto_select, medium_query_races_a_portfolio_sequential_on_one_thread) {
+TEST(auto_select, medium_query_races_a_portfolio_only_with_threads_to_race_on) {
     query_features f;
     f.variables = 5000;
     f.clauses = 15000;
@@ -98,10 +100,11 @@ TEST(auto_select, medium_query_races_a_portfolio_sequential_on_one_thread) {
     strategy threaded = strategy::auto_select(f);
     EXPECT_EQ(threaded.kind, strategy_kind::portfolio);
     EXPECT_FALSE(threaded.sequential.value_or(false));
+    // One thread cannot race: the classifier never time-slices members.
     f.threads = 1;
     strategy onecore = strategy::auto_select(f);
-    EXPECT_EQ(onecore.kind, strategy_kind::portfolio);
-    EXPECT_TRUE(onecore.sequential.value_or(false));
+    EXPECT_EQ(onecore.kind, strategy_kind::single);
+    EXPECT_FALSE(onecore.sequential.value_or(false));
 }
 
 TEST(auto_select, large_query_shards_with_depth_log2_threads) {
@@ -124,6 +127,15 @@ TEST(auto_select, history_dominates_size_features) {
     EXPECT_EQ(strategy::auto_select(f).kind, strategy_kind::single);
     f.prior_conflicts = auto_select_thresholds::easy_conflicts;
     EXPECT_EQ(strategy::auto_select(f).kind, strategy_kind::portfolio);
+    f.prior_conflicts = auto_select_thresholds::hard_conflicts;
+    EXPECT_EQ(strategy::auto_select(f).kind, strategy_kind::shard);
+    f.prior_conflicts = auto_select_thresholds::brutal_conflicts;
+    EXPECT_EQ(strategy::auto_select(f).kind, strategy_kind::shard_over_portfolio);
+    // On one thread the portfolio escalation stays single; the shard
+    // escalations are unchanged.
+    f.threads = 1;
+    f.prior_conflicts = auto_select_thresholds::easy_conflicts;
+    EXPECT_EQ(strategy::auto_select(f).kind, strategy_kind::single);
     f.prior_conflicts = auto_select_thresholds::hard_conflicts;
     EXPECT_EQ(strategy::auto_select(f).kind, strategy_kind::shard);
     f.prior_conflicts = auto_select_thresholds::brutal_conflicts;
@@ -336,6 +348,39 @@ TEST(auto_strategy, explicit_fields_survive_the_classifier) {
     EXPECT_EQ(rstats.strategy.conflict_budget, 77u);
     EXPECT_FALSE(rstats.strategy.use_cache);
     EXPECT_EQ(engine.cache().size(), 0u);
+}
+
+// A satisfiable term query whose blasted CNF lands between the classifier's
+// small and large thresholds: one 16-bit multiplier.
+smt::term medium_mul_query(smt::term_manager& tm) {
+    smt::term x = tm.mk_bv_var("x", 16);
+    smt::term y = tm.mk_bv_var("y", 16);
+    return tm.mk_and(tm.mk_eq(tm.mk_bvmul(x, y), tm.mk_bv_const(16, 391)),
+                     tm.mk_ult(tm.mk_bv_const(16, 1), x));
+}
+
+TEST(auto_strategy, medium_query_stays_single_on_a_one_thread_engine) {
+    smt::term_manager tm;
+    smt::term q = medium_mul_query(tm);
+    {
+        smt_backend probe(tm, {q}, {});
+        probe.prepare();
+        const std::size_t clauses = probe.sat_core()->num_clauses();
+        ASSERT_GE(clauses, auto_select_thresholds::small_clauses);
+        ASSERT_LT(clauses, auto_select_thresholds::large_clauses);
+    }
+    smt_engine onecore(tm, {.threads = 1});
+    query_handle handle = onecore.submit({{q}, {}, strategy{}});
+    EXPECT_TRUE(handle.get().is_sat());
+    EXPECT_TRUE(handle.stats().auto_selected);
+    EXPECT_EQ(onecore.stats().auto_picks.single, 1u);
+    EXPECT_EQ(onecore.stats().auto_picks.portfolio, 0u);
+    EXPECT_EQ(onecore.stats().solver_runs, 1u);
+
+    smt_engine threaded(tm, {.threads = 4});
+    EXPECT_TRUE(threaded.submit({{q}, {}, strategy{}}).get().is_sat());
+    EXPECT_EQ(threaded.stats().auto_picks.portfolio, 1u);
+    EXPECT_EQ(threaded.stats().auto_picks.single, 0u);
 }
 
 // ---- shard_over_portfolio + progress ----------------------------------------
@@ -576,6 +621,51 @@ TEST(solve_cnf, automatic_classifies_small_instance_as_single) {
         strategy{}, 2);
     EXPECT_EQ(out.result.ans, answer::sat);
     EXPECT_EQ(out.executed, strategy_kind::single);
+}
+
+// Planted-solution random 3-SAT: each clause's first literal is made true
+// under a hidden assignment, so the instance is satisfiable.
+test::fuzz_cnf planted_3sat(int vars, int clauses, std::uint64_t seed) {
+    util::rng r(seed);
+    std::vector<bool> hidden(static_cast<std::size_t>(vars));
+    for (std::size_t v = 0; v < hidden.size(); ++v) hidden[v] = r.next_below(2) == 1;
+    test::fuzz_cnf cnf;
+    cnf.num_vars = vars;
+    for (int c = 0; c < clauses; ++c) {
+        sat::clause_lits cl = test::detail::random_clause(r, vars, 3);
+        const sat::var v0 = sat::var_of(cl[0]);
+        cl[0] = sat::mk_lit(v0, !hidden[static_cast<std::size_t>(v0)]);
+        cnf.clauses.push_back(std::move(cl));
+    }
+    return cnf;
+}
+
+bool model_satisfies(const std::vector<sat::lbool>& model,
+                     const std::vector<sat::clause_lits>& clauses) {
+    auto holds = [&model](sat::lit l) {
+        const auto v = static_cast<std::size_t>(sat::var_of(l));
+        const sat::lbool want = sat::sign_of(l) ? sat::lbool::l_false : sat::lbool::l_true;
+        return v < model.size() && model[v] == want;
+    };
+    return std::all_of(clauses.begin(), clauses.end(), [&](const sat::clause_lits& cl) {
+        return std::any_of(cl.begin(), cl.end(), holds);
+    });
+}
+
+TEST(solve_cnf, automatic_medium_instance_is_single_on_one_thread) {
+    // 3000 clauses: between the classifier's small and large thresholds.
+    const test::fuzz_cnf cnf = planted_3sat(800, 3000, 11);
+    auto build = [&cnf](unsigned, sat::solver& s) { cnf.load_into(s); };
+    cnf_outcome onecore = solve_cnf(build, strategy{}, 1);
+    ASSERT_EQ(onecore.result.ans, answer::sat);
+    EXPECT_EQ(onecore.executed, strategy_kind::single);
+    EXPECT_EQ(onecore.total_conflicts, onecore.result.conflicts);  // no losing members
+    EXPECT_TRUE(model_satisfies(onecore.result.sat_model, cnf.clauses));
+
+    cnf_outcome threaded = solve_cnf(build, strategy{}, 2);
+    ASSERT_EQ(threaded.result.ans, answer::sat);
+    EXPECT_EQ(threaded.executed, strategy_kind::portfolio);
+    EXPECT_TRUE(model_satisfies(threaded.result.sat_model, cnf.clauses));
 }
 
 TEST(solve_cnf, external_cancel_aborts_portfolio_and_shard) {

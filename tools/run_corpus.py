@@ -16,16 +16,18 @@ sciduction_run driver and enforces three contracts:
 
 Usage:
   tools/run_corpus.py [--driver build/sciduction_run] [--corpus corpus]
-                      [--strategies single,portfolio,shard,single+inprocess]
+                      [--strategies single,portfolio,shard,auto+threads1]
                       [--cache PATH] [--require-warm]
                       [--json OUT.json] [--regen]
 
-A strategy spec may carry solver-feature suffixes joined with '+':
-`single+inprocess` runs the single strategy with --inprocess, and
-`portfolio+reduce+inprocess` runs the portfolio with both features on.
-Feature runs participate in the differential pass like any other spec —
-the verdict must match the canonical run (the core guarantee the
-inprocessing PR makes: simplification never changes the answer).
+A strategy spec may carry suffixes joined with '+': solver features
+(`single+inprocess` runs the single strategy with --inprocess, and
+`portfolio+reduce+inprocess` runs the portfolio with both features on)
+and `threads1`, which passes --threads 1 (`auto+threads1` exercises the
+classifier's one-thread picks). Suffixed runs participate in the
+differential pass like any other spec — the verdict must match the
+canonical run (simplification and the strategy pick never change the
+answer).
 
 --regen rewrites every .expected from the current single-strategy output
 (use after adding a scenario; commit the result). --cache routes all runs
@@ -50,25 +52,26 @@ def stable_lines(stdout: str) -> list[str]:
     return [ln for ln in stdout.splitlines() if ln.startswith("s ")]
 
 
-FEATURE_FLAGS = {"reduce": "--reduce", "inprocess": "--inprocess"}
+SUFFIX_FLAGS = {"reduce": ["--reduce"], "inprocess": ["--inprocess"],
+                "threads1": ["--threads", "1"]}
 
 
 def parse_spec(spec: str) -> tuple[str, list[str]]:
     """Splits a strategy spec like `single+inprocess` into the base
-    strategy name and the driver feature flags it requests."""
-    base, *features = spec.split("+")
-    unknown = [f for f in features if f not in FEATURE_FLAGS]
+    strategy name and the driver flags its suffixes request."""
+    base, *suffixes = spec.split("+")
+    unknown = [f for f in suffixes if f not in SUFFIX_FLAGS]
     if unknown:
-        raise SystemExit(f"error: unknown feature(s) {unknown} in spec '{spec}' "
-                         f"(known: {sorted(FEATURE_FLAGS)})")
-    return base, [FEATURE_FLAGS[f] for f in features]
+        raise SystemExit(f"error: unknown suffix(es) {unknown} in spec '{spec}' "
+                         f"(known: {sorted(SUFFIX_FLAGS)})")
+    return base, [flag for f in suffixes for flag in SUFFIX_FLAGS[f]]
 
 
 def run_driver(driver: Path, scenario: Path, spec: str, cache: str | None,
                extra: list[str]) -> tuple[list[str], str, float]:
-    strategy, feature_flags = parse_spec(spec)
+    strategy, suffix_flags = parse_spec(spec)
     cmd = [str(driver), str(scenario), "--strategy", strategy, "--no-model"] \
-        + feature_flags + extra
+        + suffix_flags + extra
     if cache:
         cmd += ["--cache", cache]
     start = time.monotonic()
